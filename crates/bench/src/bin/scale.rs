@@ -2,9 +2,9 @@
 //! databases at several sizes (10k / 100k / 1M by default), load each one
 //! through the store-backed sharded index, and measure every stage in
 //! items per second. Writes `BENCH_scale.json` at the workspace root
-//! (schema `uhscm-bench-scale/1`).
+//! (schema `uhscm-bench-scale/2`).
 //!
-//! Per size, five phases:
+//! Per size, six phases:
 //!
 //! 1. **generate+encode** — stream latents chunk by chunk through the
 //!    hashing network (the memory high-water mark is one chunk),
@@ -13,7 +13,11 @@
 //! 3. **index load** — stream the segments back into a `GenesisBuilder`
 //!    (one index band per segment, no full-database concatenation),
 //! 4. **query** — top-k searches against the store-backed index,
-//! 5. **sampled eval** — seeded query-subsampled MAP with its 95% CI,
+//! 5. **query layers** — the same queries taken apart into the raw Hamming
+//!    scan over every segment, the bucket top-k select over every segment
+//!    (its own scan included), and the merge of one list per worker band;
+//!    the ROADMAP target is top-k qps within 1.5x of `raw_scan_qps`,
+//! 6. **sampled eval** — seeded query-subsampled MAP with its 95% CI,
 //!    the tractable stand-in for exhaustive MAP at million-item scale.
 //!
 //! The peak-allocation proxy comes from the `uhscm-obs` registry: the
@@ -30,13 +34,15 @@ use std::time::Instant;
 
 use serde::Serialize;
 use uhscm_data::{share_mask, DatasetConfig, DatasetKind, LatentStream};
-use uhscm_eval::{sample_indices, sampled_map, BitCodes, HammingRanker};
+use uhscm_eval::bitcode::hamming_scan;
+use uhscm_eval::{merge_top_n, sample_indices, sampled_map, select_top_n, BitCodes, HammingRanker};
+use uhscm_linalg::par;
 use uhscm_nn::Mlp;
 use uhscm_obs::registry;
 use uhscm_serve::{GenesisBuilder, ShardedIndex};
 use uhscm_store::{store_path, StoreReader, StoreWriter};
 
-const SCHEMA: &str = "uhscm-bench-scale/1";
+const SCHEMA: &str = "uhscm-bench-scale/2";
 const SEED: u64 = 2023;
 const KIND: DatasetKind = DatasetKind::Cifar10Like;
 const DIM: usize = 64;
@@ -60,6 +66,18 @@ struct SizeReport {
     store_write_items_per_sec: f64,
     index_load_items_per_sec: f64,
     queries_per_sec: f64,
+    /// Raw `hamming_scan` over every segment, ns per query: the floor any
+    /// top-k search pays.
+    scan_ns_per_query: f64,
+    /// One `select_top_n` over every segment with the bound carried
+    /// across them, ns per query. Includes the select's own scan, so
+    /// `select - scan` is what selection adds.
+    select_ns_per_query: f64,
+    /// `merge_top_n` over one top-k list per worker band (as
+    /// `Generation::search` splits segments), ns per query.
+    merge_ns_per_query: f64,
+    /// `1e9 / scan_ns_per_query`.
+    raw_scan_qps: f64,
     sampled_map: f64,
     sampled_map_ci_low: f64,
     sampled_map_ci_high: f64,
@@ -92,6 +110,41 @@ fn histogram_max(name: &str) -> f64 {
 
 fn rate(items: usize, secs: f64) -> f64 {
     items as f64 / secs.max(1e-9)
+}
+
+/// Per-query ns of the three search layers — raw scan, bucket select,
+/// merge — over `segments`, each query timed through all three in turn so
+/// host drift hits every layer alike.
+fn layer_ns(queries: &BitCodes, segments: &[(u32, BitCodes)]) -> (f64, f64, f64) {
+    let bands = || segments.iter().map(|(offset, codes)| (*offset, codes));
+    let workers = par::partition(segments.len(), par::Parallelism::effective().threads());
+    let mut dists = vec![0u32; segments.iter().map(|(_, c)| c.len()).max().unwrap_or(0)];
+    let (mut scan, mut select, mut merge) = (0.0, 0.0, 0.0);
+    for _ in 0..QUERY_ROUNDS {
+        for qi in 0..queries.len() {
+            let t = Instant::now();
+            for (_, codes) in segments {
+                hamming_scan::scan_into(queries, qi, codes, &mut dists[..codes.len()]);
+                std::hint::black_box(&dists);
+            }
+            scan += t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            std::hint::black_box(select_top_n(queries, qi, bands(), TOP_K, |_| false));
+            select += t.elapsed().as_secs_f64();
+            let lists: Vec<Vec<(u32, u32)>> = workers
+                .iter()
+                .map(|w| {
+                    let band = segments[w.clone()].iter().map(|(o, c)| (*o, c));
+                    select_top_n(queries, qi, band, TOP_K, |_| false)
+                })
+                .collect();
+            let t = Instant::now();
+            std::hint::black_box(merge_top_n(&lists, TOP_K));
+            merge += t.elapsed().as_secs_f64();
+        }
+    }
+    let per_query = 1e9 / (QUERY_ROUNDS * queries.len()).max(1) as f64;
+    (scan * per_query, select * per_query, merge * per_query)
 }
 
 fn bench_size(items: usize, dir: &Path, model: &Mlp) -> SizeReport {
@@ -146,6 +199,18 @@ fn bench_size(items: usize, dir: &Path, model: &Mlp) -> SizeReport {
     let query_secs = t.elapsed().as_secs_f64();
     assert!(hits >= QUERY_ROUNDS * qcodes.len().min(items), "queries returned no hits");
 
+    // Phase 5: the query layers over the store's own segments.
+    let mut segments: Vec<(u32, BitCodes)> = Vec::new();
+    let mut reader = StoreReader::open(&file).expect("reopen store");
+    let mut offset = 0u32;
+    while let Some(segment) = reader.next_segment().expect("read segment") {
+        let len = segment.len() as u32;
+        segments.push((offset, segment));
+        offset += len;
+    }
+    let (scan_ns, select_ns, merge_ns) = layer_ns(&qcodes, &segments);
+    drop(segments);
+
     // Identity cross-check against the in-memory index (small sizes only).
     let full = StoreReader::open(&file).expect("reopen store").read_all().expect("read all");
     let store_matches_memory = if items <= VERIFY_CAP {
@@ -167,7 +232,7 @@ fn bench_size(items: usize, dir: &Path, model: &Mlp) -> SizeReport {
         None
     };
 
-    // Phase 5: sampled MAP over a seeded query subsample.
+    // Phase 6: sampled MAP over a seeded query subsample.
     let ranker = HammingRanker::new(full);
     let sample = sample_indices(qcodes.len(), SAMPLE.min(qcodes.len()), SEED);
     let rel = move |qi: usize, di: usize| share_mask(q_masks[qi], db_masks[di]);
@@ -181,6 +246,10 @@ fn bench_size(items: usize, dir: &Path, model: &Mlp) -> SizeReport {
         store_write_items_per_sec: rate(items, write_secs),
         index_load_items_per_sec: rate(items, load_secs),
         queries_per_sec: rate(QUERY_ROUNDS * qcodes.len(), query_secs),
+        scan_ns_per_query: scan_ns,
+        select_ns_per_query: select_ns,
+        merge_ns_per_query: merge_ns,
+        raw_scan_qps: 1e9 / scan_ns.max(1e-9),
         sampled_map: est.estimate,
         sampled_map_ci_low: est.ci_low,
         sampled_map_ci_high: est.ci_high,
@@ -231,11 +300,16 @@ fn main() {
         let report = bench_size(items, &dir, &model);
         eprintln!(
             "scale: {items} items -> gen+encode {:.0}/s, write {:.0}/s, load {:.0}/s, \
-             query {:.0}/s, sampled MAP {:.4} [{:.4}, {:.4}]",
+             query {:.0}/s (raw scan {:.0}/s; scan {:.0} ns, select {:.0} ns, merge {:.0} ns), \
+             sampled MAP {:.4} [{:.4}, {:.4}]",
             report.generate_encode_items_per_sec,
             report.store_write_items_per_sec,
             report.index_load_items_per_sec,
             report.queries_per_sec,
+            report.raw_scan_qps,
+            report.scan_ns_per_query,
+            report.select_ns_per_query,
+            report.merge_ns_per_query,
             report.sampled_map,
             report.sampled_map_ci_low,
             report.sampled_map_ci_high,

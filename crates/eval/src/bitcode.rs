@@ -247,9 +247,9 @@ impl BitCodes {
 ///
 /// [`BitCodes::hamming`] builds two word slices per pair; fine for a single
 /// distance, wasteful for the database-sweep shape every retrieval path
-/// actually runs (`rank_top_n`, MAP/P@N/PR, `HashIndex` probing, the serve
-/// shards). The kernels here hoist the query words once and walk the
-/// database's packed `data` buffer directly, writing distances into a
+/// actually runs (the top-`n` select, MAP/P@N/PR, `HashIndex` probing).
+/// The kernels here hoist the query words once and walk the database's
+/// packed `data` buffer directly, writing distances into a
 /// caller-provided `&mut [u32]`.
 ///
 /// The inner loop is monomorphized per code width: dedicated instantiations
@@ -258,17 +258,19 @@ impl BitCodes {
 /// for everything else. Padding bits above `bits` are never set by
 /// construction, so whole-word popcounts are exact for any bit width.
 ///
-/// Offline eval and online serving both funnel through these kernels (via
-/// [`crate::HammingRanker`]), so offline == online bitwise identity of
-/// rankings is preserved by construction rather than by parallel
-/// maintenance of two scan loops.
+/// Offline eval and online serving both funnel through these kernels via
+/// one top-`n` routine, [`crate::select_top_n`]: it scans
+/// `SCAN_BLOCK`-code blocks into a stack buffer and then admits only
+/// the distances below its running bound, so offline == online bitwise
+/// identity of rankings is preserved by construction rather than by
+/// parallel maintenance of two scan-and-select loops.
 pub mod hamming_scan {
     use super::BitCodes;
     use std::ops::Range;
 
     /// Block length used by callers that scan through a fixed stack buffer
-    /// instead of materializing all `n` distances (top-`n` heaps, radius
-    /// filters): 512 distances = 2 KB of stack.
+    /// instead of materializing all `n` distances (the top-`n` select,
+    /// radius filters): 512 distances = 2 KB of stack.
     pub const SCAN_BLOCK: usize = 512;
 
     /// Distances from query `qi` of `queries` to every code of `db`,

@@ -24,7 +24,7 @@ pub mod tsne;
 pub use bitcode::BitCodes;
 pub use index::HashIndex;
 pub use metrics::{mean_average_precision, pr_curve, precision_at_n, PrPoint};
-pub use ranking::{merge_top_n, HammingRanker};
+pub use ranking::{merge_top_n, select_top_n, HammingRanker};
 pub use retrieval::{top_k, RetrievalHit};
 pub use sampled::{estimate_from_samples, sample_indices, sampled_map, SampledMetric};
 pub use tsne::{cluster_separation, tsne_2d, TsneConfig};

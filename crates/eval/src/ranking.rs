@@ -1,8 +1,8 @@
-//! Hamming ranking over a code database.
+//! Hamming ranking over a code database, and the one top-`n` select that
+//! every retrieval path (offline metrics, the serve shards) runs through.
 
 use crate::bitcode::hamming_scan;
 use crate::BitCodes;
-use std::collections::BinaryHeap;
 
 /// Ranks database codes by Hamming distance from query codes.
 ///
@@ -49,11 +49,9 @@ impl HammingRanker {
     }
 
     /// The first `n` entries of [`Self::rank`] without materializing the
-    /// full ranking: a bounded max-heap over `(distance, index)` keeps the
-    /// `n` best candidates in `O(db · log n)` and no `O(db)` output
-    /// allocation. Tie-breaking is identical to the counting sort —
-    /// ascending distance, then ascending database index — because the heap
-    /// orders candidates by exactly that lexicographic key.
+    /// full ranking, via the bucket select of [`select_top_n`]. Tie-breaking
+    /// is identical to the counting sort — ascending distance, then
+    /// ascending database index.
     pub fn rank_top_n(&self, queries: &BitCodes, qi: usize, n: usize) -> Vec<u32> {
         self.rank_top_n_with_dist(queries, qi, n).into_iter().map(|(_, j)| j).collect()
     }
@@ -62,47 +60,11 @@ impl HammingRanker {
     /// `n` `(distance, index)` pairs in ascending `(distance, index)` order.
     /// This is the candidate format the online shard-merge
     /// ([`merge_top_n`]) consumes, so sharded serving can reproduce the
-    /// offline ranking bit-for-bit.
+    /// offline ranking bit-for-bit. The whole database is one band of
+    /// [`select_top_n`]; a request for most of it degrades gracefully into
+    /// the select's counting-sort finish.
     pub fn rank_top_n_with_dist(&self, queries: &BitCodes, qi: usize, n: usize) -> Vec<(u32, u32)> {
-        let total = self.db.len();
-        let n = n.min(total);
-        if n == 0 {
-            return Vec::new();
-        }
-        // When most of the database is requested, heap maintenance costs
-        // more than the O(db + bits) counting sort; the prefix is the same.
-        // Distances are computed once and reused for the output pairs —
-        // re-deriving them per ranked index would double the popcount work
-        // and this branch sits on the serve hot path.
-        if n * 4 >= total {
-            let dists = self.distances(queries, qi);
-            let order = counting_rank(&dists, self.db.bits());
-            return order.into_iter().take(n).map(|j| (dists[j as usize], j)).collect();
-        }
-        // Distances come from the batched scan kernel in SCAN_BLOCK-sized
-        // stack chunks: the popcount sweep runs at full width-specialized
-        // speed and the heap only ever sees a 2 KB resident buffer.
-        let mut heap: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(n + 1);
-        let mut block = [0u32; hamming_scan::SCAN_BLOCK];
-        let mut start = 0;
-        while start < total {
-            let end = (start + hamming_scan::SCAN_BLOCK).min(total);
-            let dists = &mut block[..end - start];
-            hamming_scan::scan_range_into(queries, qi, &self.db, start..end, dists);
-            for (off, &d) in dists.iter().enumerate() {
-                let cand = (d, (start + off) as u32);
-                if heap.len() < n {
-                    heap.push(cand);
-                } else if let Some(&worst) = heap.peek() {
-                    if cand < worst {
-                        heap.pop();
-                        heap.push(cand);
-                    }
-                }
-            }
-            start = end;
-        }
-        heap.into_sorted_vec()
+        select_top_n(queries, qi, [(0, &self.db)], n, |_| false)
     }
 
     /// Per-distance histogram of database points: `hist[d]` = how many
@@ -135,6 +97,152 @@ pub fn merge_top_n(shards: &[Vec<(u32, u32)>], n: usize) -> Vec<(u32, u32)> {
     all.sort_unstable();
     all.truncate(n);
     all
+}
+
+/// Distances scanned per group before the group's minimum is compared with
+/// the select's bound: 16 lanes fold to one `min` in a few vector ops.
+const SELECT_GROUP: usize = 16;
+
+/// The first `n` `(distance, global_index)` pairs, in ascending
+/// `(distance, index)` order, over every code of `bands` whose global index
+/// `is_skipped` does not reject.
+///
+/// `bands` yields `(offset, codes)` blocks whose local index `i` is global
+/// index `offset + i`, in ascending, non-overlapping offset order, so
+/// candidates arrive in ascending global index. A new candidate then loses
+/// every distance tie with what is held, and it can enter the current top
+/// `n` only if fewer than `n` held candidates lie at its distance or below.
+/// The select keeps `bound`, the smallest distance with `n` held
+/// candidates at or below it, and admits only `d < bound`. A rejected
+/// candidate is worse than the running `n`-th best of a prefix, so it can
+/// never enter the global top `n`: the result is exact, with no heap and
+/// no sort.
+///
+/// Admitted candidates go to one flat buffer with a count per distance,
+/// and the output is their counting sort by distance (arrival order is
+/// already tie-break order). The bound carries across bands, so almost
+/// every 16-distance group of a scanned block soon has its minimum at or
+/// above it and is skipped after one vector `min`; `is_skipped`
+/// (tombstones) is consulted only for candidates below the bound. The
+/// buffer is compacted back to `n` entries whenever it reaches `2n`, so
+/// its size follows what it holds, never `n` alone.
+///
+/// # Panics
+/// Panics if a band's code width differs from the query's.
+pub fn select_top_n<'a>(
+    queries: &BitCodes,
+    qi: usize,
+    bands: impl IntoIterator<Item = (u32, &'a BitCodes)>,
+    n: usize,
+    is_skipped: impl Fn(u32) -> bool,
+) -> Vec<(u32, u32)> {
+    let mut select = BucketSelect::new(queries.bits(), n);
+    let mut block = [0u32; hamming_scan::SCAN_BLOCK];
+    for (offset, codes) in bands {
+        let mut start = 0;
+        // At `bound == 0` the top `n` are exact matches: nothing later can
+        // enter, so the scan stops (at once for `n == 0`).
+        while start < codes.len() && select.bound > 0 {
+            let end = (start + hamming_scan::SCAN_BLOCK).min(codes.len());
+            let len = end - start;
+            hamming_scan::scan_range_into(queries, qi, codes, start..end, &mut block[..len]);
+            let padded = len.next_multiple_of(SELECT_GROUP);
+            block[len..padded].fill(u32::MAX);
+            let mut global = offset + start as u32;
+            for group in block[..padded].chunks_exact(SELECT_GROUP) {
+                if group.iter().fold(u32::MAX, |m, &d| m.min(d)) < select.bound {
+                    for (&d, j) in group.iter().zip(global..) {
+                        if d < select.bound && !is_skipped(j) {
+                            select.push(d, j);
+                        }
+                    }
+                }
+                global += SELECT_GROUP as u32;
+            }
+            start = end;
+        }
+    }
+    select.finish()
+}
+
+/// The running state of [`select_top_n`].
+struct BucketSelect {
+    n: usize,
+    /// Candidates with `d < bound` are admitted; `bound` only ever falls.
+    bound: u32,
+    /// Held candidates at `d < bound`; always `< n`.
+    below: usize,
+    /// Held candidates per distance (exact for every `d ≤ bound`).
+    counts: Vec<usize>,
+    /// `(distance, global_index)` in arrival (= ascending index) order.
+    held: Vec<(u32, u32)>,
+}
+
+impl BucketSelect {
+    fn new(bits: usize, n: usize) -> Self {
+        let bound = if n == 0 { 0 } else { bits as u32 + 1 };
+        Self { n, bound, below: 0, counts: vec![0; bits + 1], held: Vec::new() }
+    }
+
+    /// Admit a candidate with `d < bound`, then lower the bound to the
+    /// smallest distance at or below which `n` candidates are held.
+    fn push(&mut self, d: u32, j: u32) {
+        self.held.push((d, j));
+        if let Some(count) = self.counts.get_mut(d as usize) {
+            *count += 1;
+        }
+        self.below += 1;
+        while self.below >= self.n {
+            self.bound -= 1;
+            self.below -= self.counts.get(self.bound as usize).copied().unwrap_or(0);
+        }
+        if self.held.len() >= self.n.saturating_mul(2) {
+            self.compact();
+        }
+    }
+
+    /// Drop every held candidate that can no longer make the top `n`:
+    /// those beyond the bound, and the latest arrivals at the bound past
+    /// the `n - below` that fill the output.
+    fn compact(&mut self) {
+        let (bound, room) = (self.bound, self.n.saturating_sub(self.below));
+        let mut at_bound = 0;
+        self.held.retain(|&(d, _)| {
+            if d == bound {
+                at_bound += 1;
+                at_bound <= room
+            } else {
+                d < bound
+            }
+        });
+        if let Some(count) = self.counts.get_mut(bound as usize) {
+            *count = at_bound.min(room);
+        }
+    }
+
+    /// Counting-sort the held candidates by distance into the final
+    /// `min(n, held)` ascending `(distance, index)` pairs.
+    fn finish(mut self) -> Vec<(u32, u32)> {
+        let last = (self.bound as usize).min(self.counts.len() - 1);
+        let mut next = 0;
+        for c in self.counts.iter_mut().take(last + 1) {
+            next += std::mem::replace(c, next);
+        }
+        let len = next.min(self.n);
+        let mut out = vec![(0, 0); len];
+        for &(d, j) in &self.held {
+            if d as usize > last {
+                continue;
+            }
+            if let Some(slot) = self.counts.get_mut(d as usize) {
+                if let Some(o) = out.get_mut(*slot) {
+                    *o = (d, j);
+                    *slot += 1;
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Counting sort of indices by distance value.
@@ -191,8 +299,8 @@ mod tests {
     #[test]
     fn top_n_breaks_ties_like_full_rank() {
         // Six codes, all tied at distance 1 except one exact match — the
-        // heap path (n*4 < total) must order ties by ascending index just
-        // like the counting sort.
+        // select must order ties by ascending index just like the counting
+        // sort, at every depth.
         let db = codes(&[
             vec![1.0, -1.0, -1.0],  // d=1
             vec![-1.0, 1.0, -1.0],  // d=1
@@ -211,9 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn top_n_heap_path_matches_counting_sort() {
-        // 16 codes with many duplicate distances; n=2 forces the bounded
-        // heap (2*4 < 16) and must reproduce the stable prefix.
+    fn top_n_small_n_matches_counting_sort() {
+        // 16 codes with many duplicate distances; a small n lowers the
+        // select's bound (and compacts its buffer) several times and must
+        // still reproduce the stable prefix.
         let rows: Vec<Vec<f64>> = (0..16)
             .map(|i| (0..4).map(|b| if (i >> b) & 1 == 1 { 1.0 } else { -1.0 }).collect())
             .collect();
@@ -287,6 +396,30 @@ mod tests {
                 vec![0, 1, 2, 3, 4, 5, 6]
             );
         }
+    }
+
+    #[test]
+    fn select_carries_the_bound_across_bands_and_skips() {
+        // Distance pattern 2,1,0,1,2 repeated over three bands of 5; with
+        // one skipped exact match the top 3 are the two remaining zeros and
+        // the first live one, whatever band each sits in.
+        let rows: Vec<Vec<f64>> = (0..15)
+            .map(|i| match i % 5 {
+                2 => vec![-1.0, -1.0],
+                1 | 3 => vec![1.0, -1.0],
+                _ => vec![1.0, 1.0],
+            })
+            .collect();
+        let db = codes(&rows);
+        let q = codes(&[vec![-1.0, -1.0]]);
+        let bands: Vec<(u32, BitCodes)> =
+            [0..5, 5..10, 10..15].into_iter().map(|r| (r.start as u32, db.slice(r))).collect();
+        let got = select_top_n(&q, 0, bands.iter().map(|(o, c)| (*o, c)), 3, |j| j == 7);
+        assert_eq!(got, vec![(0, 2), (0, 12), (1, 1)]);
+        // Without the skip, three exact matches end the scan early.
+        let got = select_top_n(&q, 0, bands.iter().map(|(o, c)| (*o, c)), 3, |_| false);
+        assert_eq!(got, vec![(0, 2), (0, 7), (0, 12)]);
+        assert_eq!(select_top_n(&q, 0, bands.iter().map(|(o, c)| (*o, c)), 0, |_| false), vec![]);
     }
 
     #[test]

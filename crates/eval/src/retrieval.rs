@@ -20,8 +20,8 @@ pub struct RetrievalHit {
 
 /// Top-`k` neighbours of query `qi`, with relevance flags.
 ///
-/// Uses the bounded-heap selection of [`HammingRanker::rank_top_n`], so a
-/// small `k` over a large database never sorts (or even allocates) the full
+/// Uses the bucket select behind [`HammingRanker::rank_top_n`], so a small
+/// `k` over a large database never sorts (or even allocates) the full
 /// ranking; tie-breaking matches the full sort exactly.
 pub fn top_k(
     ranker: &HammingRanker,

@@ -242,3 +242,75 @@ proptest! {
         }
     }
 }
+
+mod select {
+    use proptest::prelude::*;
+    use rand::Rng;
+    use uhscm_eval::{select_top_n, BitCodes, HammingRanker};
+    use uhscm_linalg::rng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The bucket select against an oracle that shares none of its
+        /// code: the stable counting-sort ranking with the skipped indices
+        /// filtered out, cut to `n`. Widths hit every scan specialization
+        /// (1, 2 words and the generic fallback) and the one-bit and
+        /// three-bit extremes; the database is drawn mostly from a small
+        /// pool of codes so nearly every distance ties. Band splits are
+        /// random (empty bands included) and `n` runs past the live count.
+        #[test]
+        fn bucket_select_matches_filtered_counting_sort_prefix(
+            bits in prop::sample::select(vec![1usize, 3, 8, 64, 65, 128]),
+            ndb in 0usize..70,
+            seed in any::<u64>(),
+        ) {
+            let mut r = rng::seeded(seed);
+            let fresh = |r: &mut rand::rngs::StdRng| -> Vec<bool> {
+                (0..bits).map(|_| r.gen::<bool>()).collect()
+            };
+            let pool: Vec<Vec<bool>> = (0..r.gen_range(1..5usize)).map(|_| fresh(&mut r)).collect();
+            let rows: Vec<Vec<bool>> = (0..ndb)
+                .map(|_| {
+                    if r.gen_bool(0.25) {
+                        fresh(&mut r)
+                    } else {
+                        pool[r.gen_range(0..pool.len())].clone()
+                    }
+                })
+                .collect();
+            let db = BitCodes::from_bools(&rows);
+            let queries = BitCodes::from_bools(&[pool[0].clone(), fresh(&mut r)]);
+
+            let mut cuts: Vec<usize> =
+                (0..r.gen_range(0..6usize)).map(|_| r.gen_range(0..=ndb)).collect();
+            cuts.extend([0, ndb]);
+            cuts.sort_unstable();
+            let bands: Vec<(u32, BitCodes)> =
+                cuts.windows(2).map(|w| (w[0] as u32, db.slice(w[0]..w[1]))).collect();
+            let skip_p = [0.0, 0.3, 0.9][r.gen_range(0..3usize)];
+            let skipped: Vec<bool> = (0..ndb).map(|_| r.gen_bool(skip_p)).collect();
+
+            let ranker = HammingRanker::new(db.clone());
+            for qi in 0..queries.len() {
+                let oracle: Vec<(u32, u32)> = ranker
+                    .rank(&queries, qi)
+                    .into_iter()
+                    .filter(|&j| !skipped[j as usize])
+                    .map(|j| (queries.hamming(qi, &db, j as usize), j))
+                    .collect();
+                for n in 0..=ndb + 3 {
+                    let got = select_top_n(
+                        &queries,
+                        qi,
+                        bands.iter().map(|(offset, codes)| (*offset, codes)),
+                        n,
+                        |j| skipped[j as usize],
+                    );
+                    prop_assert_eq!(got.as_slice(), &oracle[..n.min(oracle.len())],
+                        "bits {} cuts {:?} n {}", bits, cuts, n);
+                }
+            }
+        }
+    }
+}

@@ -13,14 +13,24 @@
 //! one and its child), and they share all segment storage, so the extra
 //! memory is `O(inserted codes + tombstones)`, never a second database.
 //!
+//! Search: each worker of [`par::par_map_chunks`] takes a contiguous run
+//! of segments and runs one bucket select ([`uhscm_eval::select_top_n`])
+//! over it, with the select's distance bound carried from segment to
+//! segment, so a query over 62 segments costs about one Hamming scan
+//! rather than 62 separate top-`n` selections. Tombstones are looked up
+//! only for candidates that pass the bound. [`uhscm_eval::merge_top_n`]
+//! then merges one list per worker.
+//!
 //! Determinism contract (unchanged from the read-only index): segments are
-//! contiguous global-index bands, so a segment-local scan that emits
-//! `(distance, global_index)` candidates in ascending order, merged with
-//! [`uhscm_eval::merge_top_n`], reproduces the single-scan
-//! `(distance, index)` ranking bit-for-bit at any segment count. Tombstoned
-//! indices are skipped during the scan itself, which is exactly what a
-//! linear scan over the live items would produce — the mutation proptest
-//! and the swap-boundary loopback harness both pin this against oracles.
+//! contiguous global-index bands in ascending order, and inserted segments
+//! always take higher offsets, so candidates reach each select in
+//! ascending global index. A candidate worse than the running `n`-th best
+//! of a prefix can never enter the global top `n`, so the select is exact,
+//! and the merge reproduces the single-scan `(distance, index)` ranking
+//! bit-for-bit at any segment count and any worker chunking. Skipping
+//! tombstoned indices is exactly what a linear scan over the live items
+//! would produce — the mutation proptest (under 1, 2 and 4 workers) and
+//! the swap-boundary loopback harness both pin this against oracles.
 //!
 //! Lock discipline (checked by `xtask lint`'s lock passes): `mutate` is a
 //! plain writer-serialization mutex; `current` is the published pointer.
@@ -30,11 +40,9 @@
 //! search work ever happens under either lock.
 
 use std::collections::BTreeSet;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use uhscm_eval::bitcode::hamming_scan;
-use uhscm_eval::{merge_top_n, BitCodes};
+use uhscm_eval::{merge_top_n, select_top_n, BitCodes};
 use uhscm_linalg::par;
 use uhscm_obs::obs_span;
 
@@ -44,54 +52,6 @@ struct Segment {
     /// Global index of this segment's first code.
     offset: u32,
     codes: BitCodes,
-}
-
-impl Segment {
-    /// Ascending `(distance, global_index)` top-`n` over this segment's
-    /// *live* codes. The bounded max-heap keeps the best `n` candidates and
-    /// `into_sorted_vec` emits them in exactly the counting-sort tie-break
-    /// order (the lexicographic key is unique per candidate), so skipping
-    /// tombstones here is indistinguishable from scanning a database that
-    /// never contained them.
-    fn top_n(
-        &self,
-        queries: &BitCodes,
-        qi: usize,
-        n: usize,
-        tombstones: &BTreeSet<u32>,
-    ) -> Vec<(u32, u32)> {
-        let total = self.codes.len();
-        // The heap is trimmed to `n` entries after every push and can never
-        // hold more than this segment's code count, so its capacity is
-        // bounded by what we store — a caller-supplied `n` (ultimately a
-        // wire `top_k`) cannot size the allocation past the data.
-        let cap = n.min(total).saturating_add(1);
-        let mut heap: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(cap);
-        let mut block = [0u32; hamming_scan::SCAN_BLOCK];
-        let mut start = 0;
-        while start < total {
-            let end = (start + hamming_scan::SCAN_BLOCK).min(total);
-            let dists = &mut block[..end - start];
-            hamming_scan::scan_range_into(queries, qi, &self.codes, start..end, dists);
-            for (off, &d) in dists.iter().enumerate() {
-                let global = self.offset + (start + off) as u32;
-                if tombstones.contains(&global) {
-                    continue;
-                }
-                let cand = (d, global);
-                if heap.len() < n {
-                    heap.push(cand);
-                } else if let Some(&worst) = heap.peek() {
-                    if cand < worst {
-                        heap.pop();
-                        heap.push(cand);
-                    }
-                }
-            }
-            start = end;
-        }
-        heap.into_sorted_vec()
-    }
 }
 
 /// One immutable, committed state of the database: `Arc`-shared segments
@@ -188,29 +148,28 @@ impl Generation {
     ///
     /// Segments are searched via [`par::par_map_chunks`], so the fan-out
     /// uses the same deterministic worker pool as the dense kernels (and
-    /// runs serially under a serial plan, bit-for-bit identically).
+    /// runs serially under a serial plan, bit-for-bit identically). Each
+    /// worker runs one [`select_top_n`] over its contiguous run of
+    /// segments, so the select's bound carries from segment to segment
+    /// and tombstones are looked up only for candidates that pass it;
+    /// [`merge_top_n`] then folds one list per worker.
     pub fn search(&self, queries: &BitCodes, qi: usize, n: usize) -> Vec<(u32, u32)> {
         obs_span!("serve_search");
         if n == 0 || self.segments.is_empty() {
             return Vec::new();
         }
         // Clamp the caller-provided `n` into a fresh binding before it
-        // reaches any heap- or buffer-sizing position: no search can return
-        // more than `total` hits, so the clamp never changes a result, and
-        // the taint pass's name-based tracking sees the sanitized value.
+        // reaches any buffer-sizing position: no search can return more
+        // than `total` hits, so the clamp never changes a result, and the
+        // taint pass's name-based tracking sees the sanitized value.
         let want = n.min(self.total);
         // Work estimate: one popcount pass over every stored word.
         let words = self.bits.div_ceil(64).max(1);
-        let per_segment: Vec<Vec<(u32, u32)>> =
-            par::par_map_chunks(self.segments.len(), self.total * words, |chunk| {
-                chunk
-                    .map(|s| self.segments[s].top_n(queries, qi, want, &self.tombstones))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        merge_top_n(&per_segment, want)
+        let per_worker = par::par_map_chunks(self.segments.len(), self.total * words, |chunk| {
+            let bands = self.segments[chunk].iter().map(|s| (s.offset, &s.codes));
+            select_top_n(queries, qi, bands, want, |j| self.tombstones.contains(&j))
+        });
+        merge_top_n(&per_worker, want)
     }
 }
 

@@ -13,11 +13,14 @@
 //!
 //! The same operation stream is replayed against shard counts {1, 2, 4}:
 //! segment layout must never leak into results, commits must bump the
-//! generation by exactly one, and no-op removes must not commit.
+//! generation by exactly one, and no-op removes must not commit. Every
+//! search also runs under 1, 2 and 4 worker threads: each worker carries
+//! its own select bound across a different run of segments, and the
+//! merged answers must not depend on that chunking.
 
 use proptest::prelude::*;
 use uhscm_eval::{BitCodes, HashIndex};
-use uhscm_linalg::rng;
+use uhscm_linalg::{par, rng};
 use uhscm_serve::ShardedIndex;
 
 /// One step of an interleaving: `true` inserts `1 + (param % 3)` fresh
@@ -126,9 +129,12 @@ proptest! {
             for n in [1usize, 3, all.len() + 2] {
                 let want = linear_top_n(&all, &alive, &q, n);
                 for (s, index) in indexes.iter().enumerate() {
-                    let got = index.search(&q, 0, n);
-                    prop_assert_eq!(got.as_slice(), want.as_slice(),
-                        "step {} shards#{} n {}: vs linear scan", step, s, n);
+                    for threads in [1usize, 2, 4] {
+                        let got = par::with_threads(threads, || index.search(&q, 0, n));
+                        prop_assert_eq!(got.as_slice(), want.as_slice(),
+                            "step {} shards#{} n {} threads {}: vs linear scan",
+                            step, s, n, threads);
+                    }
                 }
                 // HashIndex::knn emits (index, distance) and clamps to the
                 // live count; remap to the serve-side (distance, index).

@@ -51,8 +51,10 @@
 //!
 //! The `ci` command chains the full tier-1 gate: `cargo fmt --check`, the
 //! lint above (in-process, writing `results/lint.json`), `cargo build
-//! --release`, `cargo test`, and a cross-process smoke of the online
-//! retrieval service (start → query → drain, see [`smoke`]).
+//! --release`, `cargo test --workspace` (every member crate's suites, not
+//! only the root package's), the kernel-regression gate, and
+//! cross-process smokes of the online retrieval service and the segment
+//! store (see [`smoke`]).
 
 mod allowlist;
 mod analysis;
@@ -147,11 +149,11 @@ fn usage() -> ExitCode {
 }
 
 /// The chained tier-1 gate: rustfmt check, the in-process linter (which
-/// also writes `results/lint.json`), the ROADMAP's verify commands
-/// (`cargo build --release && cargo test`), the kernel-regression gate
-/// (tuned kernels must stay bitwise identical to — and no slower than —
-/// their naive references), then the serve and scale smokes. Stops at the
-/// first failing step.
+/// also writes `results/lint.json`), `cargo build --release`, `cargo test
+/// --workspace` (every member crate's suites, not only the root
+/// package's), the kernel-regression gate (tuned kernels must stay bitwise
+/// identical to — and no slower than — their naive references), then the
+/// serve and scale smokes. Stops at the first failing step.
 fn ci() -> ExitCode {
     let root = workspace_root();
     println!("ci [1/7]: cargo fmt --all -- --check");
@@ -183,10 +185,10 @@ fn ci() -> ExitCode {
     ) {
         return ExitCode::from(1);
     }
-    println!("ci [4/7]: cargo test -q");
+    println!("ci [4/7]: cargo test --workspace -q");
     if !run_step(
-        "cargo test",
-        std::process::Command::new("cargo").args(["test", "-q"]).current_dir(&root),
+        "cargo test --workspace",
+        std::process::Command::new("cargo").args(["test", "--workspace", "-q"]).current_dir(&root),
     ) {
         return ExitCode::from(1);
     }
