@@ -247,7 +247,7 @@ impl BitCodes {
 ///
 /// [`BitCodes::hamming`] builds two word slices per pair; fine for a single
 /// distance, wasteful for the database-sweep shape every retrieval path
-/// actually runs (the top-`n` select, MAP/P@N/PR, `HashIndex` probing).
+/// actually runs (the top-`n` select, MAP/P@N/PR).
 /// The kernels here hoist the query words once and walk the database's
 /// packed `data` buffer directly, writing distances into a
 /// caller-provided `&mut [u32]`.
@@ -269,8 +269,8 @@ pub mod hamming_scan {
     use std::ops::Range;
 
     /// Block length used by callers that scan through a fixed stack buffer
-    /// instead of materializing all `n` distances (the top-`n` select,
-    /// radius filters): 512 distances = 2 KB of stack.
+    /// instead of materializing all `n` distances (the top-`n` select):
+    /// 512 distances = 2 KB of stack.
     pub const SCAN_BLOCK: usize = 512;
 
     /// Distances from query `qi` of `queries` to every code of `db`,
@@ -313,39 +313,6 @@ pub mod hamming_scan {
         }
     }
 
-    /// Visit `(database_index, distance)` for each index in `indices` —
-    /// the scattered-access twin of [`scan_into`] used by bucketed index
-    /// probes. The query words and the width dispatch are hoisted out of
-    /// the loop exactly like the contiguous scan.
-    ///
-    /// # Panics
-    /// Panics on code-length mismatch or an out-of-range index.
-    pub fn gather_each(
-        queries: &BitCodes,
-        qi: usize,
-        db: &BitCodes,
-        indices: &[u32],
-        visit: impl FnMut(u32, u32),
-    ) {
-        assert_eq!(queries.bits, db.bits, "code length mismatch");
-        let w = db.words_per_code;
-        if w == 0 {
-            let mut visit = visit;
-            for &j in indices {
-                assert!((j as usize) < db.n, "gather index out of range");
-                visit(j, 0);
-            }
-            return;
-        }
-        let q = queries.code(qi);
-        match w {
-            1 => gather_w::<1>(q, &db.data, indices, visit),
-            2 => gather_w::<2>(q, &db.data, indices, visit),
-            4 => gather_w::<4>(q, &db.data, indices, visit),
-            _ => gather_generic(q, &db.data, indices, visit),
-        }
-    }
-
     /// Width-monomorphized contiguous scan: the query lives in a `[u64; W]`
     /// register array and the XOR/popcount chain is fully unrolled.
     fn scan_w<const W: usize>(q: &[u64], data: &[u64], out: &mut [u32]) {
@@ -365,34 +332,6 @@ pub mod hamming_scan {
         let w = q.len();
         for (o, code) in out.iter_mut().zip(data.chunks_exact(w)) {
             *o = wide_hamming(q, code);
-        }
-    }
-
-    /// Width-monomorphized scattered gather.
-    fn gather_w<const W: usize>(
-        q: &[u64],
-        data: &[u64],
-        indices: &[u32],
-        mut visit: impl FnMut(u32, u32),
-    ) {
-        let mut qw = [0u64; W];
-        qw.copy_from_slice(q);
-        for &j in indices {
-            let code = &data[j as usize * W..j as usize * W + W];
-            let mut d = 0u32;
-            for t in 0..W {
-                d += (qw[t] ^ code[t]).count_ones();
-            }
-            visit(j, d);
-        }
-    }
-
-    /// Generic-width scattered gather.
-    fn gather_generic(q: &[u64], data: &[u64], indices: &[u32], mut visit: impl FnMut(u32, u32)) {
-        let w = q.len();
-        for &j in indices {
-            let code = &data[j as usize * w..(j as usize + 1) * w];
-            visit(j, wide_hamming(q, code));
         }
     }
 
@@ -552,12 +491,6 @@ mod tests {
                 let mut mid = vec![0u32; 20];
                 hamming_scan::scan_range_into(&queries, qi, &db, 9..29, &mut mid);
                 assert_eq!(mid, out[9..29], "range scan bits={bits} qi={qi}");
-
-                let indices = [0u32, 7, 13, 32];
-                let mut seen = Vec::new();
-                hamming_scan::gather_each(&queries, qi, &db, &indices, |j, d| seen.push((j, d)));
-                let want: Vec<(u32, u32)> = indices.iter().map(|&j| (j, out[j as usize])).collect();
-                assert_eq!(seen, want, "gather bits={bits} qi={qi}");
             }
         }
     }
@@ -605,8 +538,5 @@ mod tests {
         let mut dists = [7u32; 3];
         hamming_scan::scan_into(&zq, 1, &zdb, &mut dists);
         assert_eq!(dists, [0, 0, 0]);
-        let mut seen = Vec::new();
-        hamming_scan::gather_each(&zq, 0, &zdb, &[2, 0], |j, d| seen.push((j, d)));
-        assert_eq!(seen, vec![(2, 0), (0, 0)]);
     }
 }

@@ -9,12 +9,9 @@
 //! * [`sampled`] — seeded query-subsampled MAP/P@N estimates with
 //!   confidence intervals, keeping eval tractable at million-item scale,
 //! * [`tsne`] — exact t-SNE for the qualitative study of Figure 5,
-//! * [`retrieval`] — top-k inspection with relevance flags (Figure 6),
-//! * [`index`] — a bucketed multi-probe Hamming index, the data structure a
-//!   production deployment of the hash-lookup protocol uses.
+//! * [`retrieval`] — top-k inspection with relevance flags (Figure 6).
 
 pub mod bitcode;
-pub mod index;
 pub mod metrics;
 pub mod ranking;
 pub mod retrieval;
@@ -22,7 +19,6 @@ pub mod sampled;
 pub mod tsne;
 
 pub use bitcode::BitCodes;
-pub use index::HashIndex;
 pub use metrics::{mean_average_precision, pr_curve, precision_at_n, PrPoint};
 pub use ranking::{merge_top_n, select_top_n, HammingRanker};
 pub use retrieval::{top_k, RetrievalHit};

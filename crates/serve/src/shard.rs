@@ -70,24 +70,6 @@ pub struct Generation {
 }
 
 impl Generation {
-    /// Generation 0: `db` split into `num_shards` contiguous bands (clamped
-    /// to `1..=len` non-empty bands; an empty database yields no segments).
-    fn genesis(db: &BitCodes, num_shards: usize) -> Generation {
-        let segments = par::partition(db.len(), num_shards.max(1))
-            .into_iter()
-            .map(|band| {
-                Arc::new(Segment { offset: band.start as u32, codes: db.slice(band.clone()) })
-            })
-            .collect();
-        Generation {
-            seq: 0,
-            bits: db.bits(),
-            segments,
-            tombstones: BTreeSet::new(),
-            total: db.len(),
-        }
-    }
-
     /// The next generation sharing every segment of `self`: `O(segments)`
     /// `Arc` clones plus one tombstone-set clone, never a code copy.
     fn child(&self) -> Generation {
@@ -302,11 +284,18 @@ fn lock_mutate(lock: &Mutex<()>) -> MutexGuard<'_, ()> {
 
 impl ShardedIndex {
     /// Build generation 0 from `db` split into `num_shards` contiguous
-    /// bands (clamped to `1..=len` non-empty bands).
+    /// bands (clamped to `1..=len` non-empty bands; an empty database
+    /// yields no segments).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `db` exceeds the `u32` global index space.
     pub fn new(db: &BitCodes, num_shards: usize) -> Self {
-        let bits = db.bits();
-        let genesis = Arc::new(Generation::genesis(db, num_shards));
-        Self { current: RwLock::new(genesis), mutate: Mutex::new(()), bits }
+        let mut builder = GenesisBuilder::new(db.bits());
+        for band in par::partition(db.len(), num_shards.max(1)) {
+            builder.push(db.slice(band));
+        }
+        builder.finish()
     }
 
     /// The current committed generation, pinned: later commits never touch

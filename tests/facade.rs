@@ -22,6 +22,19 @@ fn all_subsystems_reachable_through_facade() {
     assert!(cfg.validate().is_ok());
     // baselines
     assert_eq!(uhscm::baselines::BaselineKind::ALL.len(), 10);
+    // serve: query code 1 is 0 bits from itself and 1 bit from code 0.
+    let two = uhscm::eval::BitCodes::from_bools(&[vec![true, false], vec![false, false]]);
+    let index = uhscm::serve::ShardedIndex::new(&two, 2);
+    assert_eq!(index.search(&two, 1, 2), vec![(0, 1), (1, 0)]);
+    // store: an in-memory round trip
+    let mut buf = Vec::new();
+    let mut writer = uhscm::store::StoreWriter::new(std::io::Cursor::new(&mut buf), 2).unwrap();
+    writer.append(&two).unwrap();
+    assert_eq!(writer.finish().unwrap().codes, 2);
+    let reader = uhscm::store::StoreReader::new(buf.as_slice()).unwrap();
+    assert_eq!(reader.read_all().unwrap(), two);
+    // obs: a span is an inert guard unless tracing is on
+    let _span = uhscm::obs::span("facade");
 }
 
 #[test]
